@@ -27,6 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation as ev
 from . import synth as synth_mod
+from .compute import NonFiniteLoss
 from .gmm import GaussianMixtureBank, build_component_bank
 from .train import (RunConfig, VersionMismatch, load_checkpoint,
                     save_checkpoint, train_model)
@@ -337,7 +338,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VersionMismatch, FileNotFoundError, ValueError, OSError) as exc:
+    except (VersionMismatch, NonFiniteLoss, FileNotFoundError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,5 @@
-"""Neural building blocks shared by every model: LSTM cell, affine layer,
-cross entropy, inverted dropout, Adam, and a finite-difference gradient check.
+"""Neural building blocks shared by every model: LSTM cell, cross entropy,
+inverted dropout, Adam, and a finite-difference gradient check.
 """
 from __future__ import annotations
 
@@ -66,18 +66,6 @@ class ParamStore:
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         return {k: v.value.copy() for k, v in self._params.items()}
-
-
-class Dense:
-    """Affine map y = W x + b."""
-
-    def __init__(self, params: ParamStore, name: str, n_in: int, n_out: int,
-                 rng: np.random.Generator):
-        self.W = params.create(f"{name}.W", uniform_init(rng, (n_out, n_in)))
-        self.b = params.create(f"{name}.b", uniform_init(rng, (n_out,)))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return (self.W @ x) + self.b
 
 
 class LstmCell:

@@ -1,11 +1,13 @@
-"""Token embeddings, the character-level numeral encoder, and the gated
+"""Token embeddings, the LSTM over a small symbol alphabet behind the
+character-level numeral encoder and the numeral models, and the gated
 token-character input embedding used for numerals.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy.special import log_softmax as np_log_softmax
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -60,25 +62,92 @@ class EmbeddingTable:
         return hits
 
 
-class CharEncoder:
+def char_indices(surface: str) -> List[int]:
+    """Indices of a numeral surface's characters in CHARS."""
+    try:
+        return [CHAR_INDEX[ch] for ch in surface]
+    except KeyError as e:
+        raise ValueError(f"character {e.args[0]!r} outside the numeral character set") from None
+
+
+class SymbolLstm:
+    """LSTM over a small symbol alphabet whose last symbol is the start
+    marker SOS, run from a given initial hidden state and a zero cell.
+
+    With `emit`, an output layer scores the next symbol (any but SOS) at
+    every step; `log_mask[prev]`, when given, is added to those scores to
+    rule out symbols that may not follow `prev`.
+    """
+
+    def __init__(self, params: ParamStore, name: str, table: str, n_symbols: int,
+                 dim: int, rng: np.random.Generator, emit: bool = False,
+                 log_mask: Optional[np.ndarray] = None):
+        self.dim = dim
+        self.sos = n_symbols - 1
+        self.emb = EmbeddingTable(params, f"{name}.{table}", n_symbols, dim, rng)
+        self.cell = LstmCell(params, f"{name}.lstm", dim, dim, rng)
+        if emit:
+            self.Wout = params.create(f"{name}.out.W", uniform_init(rng, (self.sos, dim)))
+            self.bout = params.create(f"{name}.out.b", uniform_init(rng, (self.sos,)))
+        self.log_mask = log_mask
+
+    def _states(self, h: Tensor, inputs: Sequence[int]):
+        state = (h, Tensor(np.zeros(self.dim)))
+        for sym in inputs:
+            state = self.cell.step(self.emb(sym), state)
+            yield state[0]
+
+    def encode(self, symbols: Sequence[int]) -> Tensor:
+        """Final hidden state after reading SOS then `symbols` from a zero state."""
+        *_, h = self._states(Tensor(np.zeros(self.dim)), [self.sos, *symbols])
+        return h
+
+    def sequence_log_prob(self, h: Tensor, targets: Sequence[int]) -> Tensor:
+        """log p(targets | h), one conditional per symbol; graph mode."""
+        inputs = [self.sos, *targets[:-1]]
+        total = None
+        for hs, prev, tgt in zip(self._states(h, inputs), inputs, targets):
+            logits = (self.Wout @ hs) + self.bout
+            if self.log_mask is not None:
+                logits = logits + Tensor(self.log_mask[prev])
+            lp = ad.log_softmax(logits)[tgt]
+            total = lp if total is None else total + lp
+        return total
+
+    def batch_log_probs(self, hv: np.ndarray, seqs: Sequence[Sequence[int]]) -> np.ndarray:
+        """log p(seq | hv) for every target sequence, grad-free, scored as
+        one padded batch."""
+        n, steps = len(seqs), max(len(s) for s in seqs)
+        targets = np.full((n, steps), -1, dtype=int)
+        for i, s in enumerate(seqs):
+            targets[i, :len(s)] = s
+        inputs = np.full((n, steps), self.sos, dtype=int)
+        inputs[:, 1:] = targets[:, :-1]
+        inputs[targets < 0] = self.sos  # past a row's end: keeps masked scores finite
+        H = np.repeat(hv[None, :], n, axis=0)
+        C = np.zeros_like(H)
+        out = np.zeros(n)
+        for t in range(steps):
+            H, C = self.cell.step_batch(self.emb.E.value[inputs[:, t]], H, C)
+            logits = H @ self.Wout.value.T + self.bout.value
+            if self.log_mask is not None:
+                logits = logits + self.log_mask[inputs[:, t]]
+            lp = np_log_softmax(logits, axis=1)
+            active = targets[:, t] >= 0
+            out += np.where(active, lp[np.arange(n), np.maximum(targets[:, t], 0)], 0.0)
+        return out
+
+
+class CharEncoder(SymbolLstm):
     """Character-level LSTM over a numeral's digits; output is the final
     hidden state, dimension D."""
 
     def __init__(self, params: ParamStore, name: str, dim: int,
-                 rng: np.random.Generator, char_dim: Optional[int] = None):
-        self.dim = dim
-        self.char_dim = char_dim or dim
-        self.chars = EmbeddingTable(params, f"{name}.chars", N_CHARS, self.char_dim, rng)
-        self.cell = LstmCell(params, f"{name}.lstm", self.char_dim, dim, rng)
+                 rng: np.random.Generator):
+        super().__init__(params, name, "chars", N_CHARS, dim, rng)
 
     def __call__(self, surface: str) -> Tensor:
-        h, c = self.cell.initial_state()
-        for ch in [CHAR_SOS] + list(surface) + [CHAR_EOS]:
-            idx = CHAR_INDEX.get(ch)
-            if idx is None:
-                raise ValueError(f"character {ch!r} outside the numeral character set")
-            h, c = self.cell.step(self.chars(idx), (h, c))
-        return h
+        return self.encode(char_indices(surface) + [EOS_INDEX])
 
 
 class GatedInputEmbed:

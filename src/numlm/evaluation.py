@@ -100,29 +100,6 @@ def adjusted_perplexity(records: Sequence[TokenRecord],
     return math.exp(h + h_adj)
 
 
-def adjusted_perplexity_redistributed(records: Sequence[TokenRecord],
-                                      oov_sizes: Dict[str, int],
-                                      open_numeral_vocab: bool,
-                                      class_filter: str = "all") -> float:
-    """Direct route: divide each OOV token's probability by |OOV_c|."""
-    sel = [r for r in records if _in_filter(r, class_filter)]
-    if not sel:
-        return float("nan")
-    adjusted = _adjusted_classes(open_numeral_vocab)
-    total = 0.0
-    for r in sel:
-        lp = r.logp
-        cls = "numeral" if r.kind is Kind.Numeral else "word"
-        if r.oov and cls in adjusted:
-            if oov_sizes.get(cls, 0) < 1:
-                raise ValueError(f"{cls} tokens are OOV but the OOV type set is empty")
-            lp = lp - math.log(oov_sizes[cls])
-        if math.isinf(lp):
-            return math.inf
-        total += lp
-    return math.exp(-total / len(sel))
-
-
 # -- number-line evaluation --------------------------------------------------
 def choose_decimal_limit(precisions: Sequence[int], coverage: float = 0.9) -> int:
     if not 0 < coverage <= 1:
@@ -260,15 +237,20 @@ def benford_corpus_distribution(values: Iterable[float],
     return counts / total if total else counts
 
 
+def _digit_rnn(model: NumerateLM) -> DigitRnn:
+    branch = getattr(model.strategy, "numeral_branch", None)
+    if isinstance(branch, CombinationHead):
+        return branch.drnn
+    if not isinstance(branch, DigitRnn):
+        raise ValueError("model has no digit-RNN branch")
+    return branch
+
+
 def benford_model_distribution(model: NumerateLM,
                                corpus: Sequence[Sequence[Token]]) -> np.ndarray:
     """First-digit distribution of a d-RNN branch, marginalising the first
     emission over context states at numeral positions ('0' excluded)."""
-    branch = getattr(model.strategy, "numeral_branch", None)
-    drnn = branch if isinstance(branch, DigitRnn) else \
-        branch.drnn if isinstance(branch, CombinationHead) else None
-    if drnn is None:
-        raise ValueError("model has no digit-RNN branch")
+    drnn = _digit_rnn(model)
     acc = np.zeros(9)
     n = 0
     for doc in corpus:
@@ -313,15 +295,16 @@ def output_embedding_rows(model: NumerateLM, surfaces: Sequence[str]
             continue
         if hasattr(strategy, "E_out"):  # flat softmax
             rows.append(strategy.E_out.value[idx])
+        elif idx < vocab.n_words:
+            rows.append(strategy.words.E_out.value[idx])
         else:
-            if idx < vocab.n_words:
-                rows.append(strategy.E_word.value[idx])
-            else:
-                branch = strategy.numeral_branch
-                if not hasattr(branch, "E_out"):
-                    skipped.append(s)
-                    continue
-                rows.append(branch.E_out.value[idx - vocab.n_words])
+            # the closed numeral branch, or the combination's closed constituent
+            branch = strategy.numeral_branch
+            table = getattr(branch, "closed", branch)
+            if not hasattr(table, "E_out"):
+                skipped.append(s)
+                continue
+            rows.append(table.E_out.value[idx - vocab.n_words])
         kept.append(s)
     return kept, np.array(rows), skipped
 
@@ -335,11 +318,7 @@ def embedding_similarity_report(model: NumerateLM,
 
 def digit_similarity_report(model: NumerateLM) -> Tuple[List[str], np.ndarray]:
     """Cosine similarities of the digit-RNN output digit embeddings."""
-    branch = getattr(model.strategy, "numeral_branch", None)
-    drnn = branch if isinstance(branch, DigitRnn) else \
-        branch.drnn if isinstance(branch, CombinationHead) else None
-    if drnn is None:
-        raise ValueError("model has no digit-RNN branch")
+    drnn = _digit_rnn(model)
     labels = [str(d) for d in range(10)]
     return labels, cosine_similarity_matrix(drnn.Wout.value[:10])
 

@@ -129,6 +129,10 @@ class GaussianMixtureBank:
                 raise ValueError(f"bad bank header: {header!r}")
             n = int(header.split("=", 1)[1])
             rows = [f.readline().split() for _ in range(n)]
+        found = sum(1 for r in rows if len(r) == 3)
+        if found < n:
+            raise ValueError(f"truncated bank {path}: header declares {n} components, "
+                             f"found {found} rows of mean, variance and K")
         means = np.array([float(r[0]) for r in rows])
         variances = np.array([float(r[1]) for r in rows])
         source_k = np.array([int(r[2]) for r in rows])

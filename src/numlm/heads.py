@@ -46,114 +46,92 @@ def _log_one_minus_sigmoid(x: Tensor) -> Tensor:
     return -ad.logsumexp(ad.stack([Tensor(0.0), x]))
 
 
-class FlatSoftmax:
-    """Single softmax over the full vocabulary; the +rnn variant adds a
-    character-composed score to in-vocabulary numeral columns."""
+class ClosedSoftmax:
+    """Softmax over the rows of one output table.
 
-    def __init__(self, params: ParamStore, vocab: Vocabulary, dim: int,
-                 rng: np.random.Generator, plus_rnn: bool):
-        self.vocab = vocab
-        self.dim = dim
-        self.plus_rnn = plus_rnn
-        self.E_out = params.create("out.E_out", uniform_init(rng, (vocab.size, dim)))
-        self.char_out: Optional[CharEncoder] = None
-        if plus_rnn:
-            self.char_out = CharEncoder(params, "out.char", dim, rng)
+    The in-vocabulary numerals `numerals` occupy the contiguous rows from
+    `first` on. With `char_name` (the +rnn kinds) each of them also scores
+    against a character-composed column, and every other row counts its
+    token column twice.
+    """
+
+    def __init__(self, params: ParamStore, name: str, n_rows: int, dim: int,
+                 rng: np.random.Generator, numerals: Sequence[str] = (),
+                 first: int = 0, char_name: Optional[str] = None):
+        self.E_out = params.create(name, uniform_init(rng, (n_rows, dim)))
+        self.char_out = CharEncoder(params, char_name, dim, rng) if char_name else None
+        self.numerals = list(numerals)
+        self.first = first
+        self.rows = {s: first + i for i, s in enumerate(self.numerals)}
         self._char_cols: Optional[List[Tensor]] = None
 
     def prepare(self):
-        """Recompute the character-composed output columns (call once per
+        """Recompute the character-composed columns (call once per
         optimiser step; they depend on parameters, not on the state)."""
         if self.char_out is not None:
-            self._char_cols = [self.char_out(s) for s in self.vocab.in_vocab_numerals()]
+            self._char_cols = [self.char_out(s) for s in self.numerals]
 
     def logits(self, h: Tensor) -> Tensor:
         base = self.E_out @ h
-        if not self.plus_rnn:
+        if self.char_out is None:
             return base
         if self._char_cols is None:
             self.prepare()
-        # words and UNKs keep their token column twice; in-vocab numerals get
-        # the character-composed column instead on the second term
-        n_words = self.vocab.n_words
-        char_scores = ad.stack([col @ h for col in self._char_cols]) \
-            if self._char_cols else None
-        pieces = [base[slice(0, n_words)]]
-        if char_scores is not None:
-            pieces.append(char_scores)
-        pieces.append(base[slice(self.vocab.size - 1, self.vocab.size)])
+        lo, hi, n = self.first, self.first + len(self.numerals), base.shape[0]
+        pieces = [base[slice(0, lo)]] if lo else []
+        if self._char_cols:
+            pieces.append(ad.stack([col @ h for col in self._char_cols]))
+        if hi < n:
+            pieces.append(base[slice(hi, n)])
         return base + ad.concat(pieces)
 
-    def log_prob(self, h: Tensor, token: Token) -> Tensor:
-        return ad.log_softmax(self.logits(h))[self.vocab.index(token)]
+    def log_prob(self, h: Tensor, row: int) -> Tensor:
+        return ad.log_softmax(self.logits(h))[row]
 
-    def full_log_probs_np(self, hv: np.ndarray) -> np.ndarray:
+    def log_probs(self, hv: np.ndarray) -> np.ndarray:
+        """Every row's log probability, grad-free."""
         with ad.no_grad():
             return np_log_softmax(self.logits(Tensor(hv)).value)
 
-    def numeral_candidate_log_probs(self, hv: np.ndarray,
-                                    candidates: Sequence[Candidate],
-                                    **_) -> np.ndarray:
-        lp = self.full_log_probs_np(hv)
-        class_mass = np_logsumexp(lp[self.vocab.n_words:])
-        unk = self.vocab.unk_numeral_index
-        out = np.empty(len(candidates))
-        for i, c in enumerate(candidates):
-            idx = self.vocab.index_of(c.surface, unk)
-            out[i] = lp[idx] - class_mass
-        return out
 
-
-class ClosedNumeralBranch:
-    """Softmax over the numeral inventory (UNK included); optional +rnn
-    character columns for in-vocabulary numerals."""
+class FlatSoftmax(ClosedSoftmax):
+    """Single softmax over the full vocabulary, numerals after the words."""
 
     def __init__(self, params: ParamStore, vocab: Vocabulary, dim: int,
                  rng: np.random.Generator, plus_rnn: bool):
+        super().__init__(params, "out.E_out", vocab.size, dim, rng,
+                         numerals=vocab.in_vocab_numerals(), first=vocab.n_words,
+                         char_name="out.char" if plus_rnn else None)
         self.vocab = vocab
-        self.plus_rnn = plus_rnn
-        self.E_out = params.create("out.num.E_out",
-                                   uniform_init(rng, (vocab.n_numerals, dim)))
-        self.char_out: Optional[CharEncoder] = None
-        if plus_rnn:
-            self.char_out = CharEncoder(params, "out.num.char", dim, rng)
-        self._char_cols: Optional[List[Tensor]] = None
-
-    def prepare(self):
-        if self.char_out is not None:
-            self._char_cols = [self.char_out(s) for s in self.vocab.in_vocab_numerals()]
-
-    def logits(self, h: Tensor) -> Tensor:
-        base = self.E_out @ h
-        if not self.plus_rnn:
-            return base
-        if self._char_cols is None:
-            self.prepare()
-        n = self.vocab.n_numerals
-        char_scores = ad.stack([col @ h for col in self._char_cols]) \
-            if self._char_cols else None
-        pieces = []
-        if char_scores is not None:
-            pieces.append(char_scores)
-        pieces.append(base[slice(n - 1, n)])
-        return base + ad.concat(pieces)
 
     def log_prob_token(self, h: Tensor, token: Token) -> Tensor:
-        return ad.log_softmax(self.logits(h))[self.vocab.numeral_branch_index(token)]
-
-    def branch_log_probs_np(self, hv: np.ndarray) -> np.ndarray:
-        with ad.no_grad():
-            return np_log_softmax(self.logits(Tensor(hv)).value)
+        return self.log_prob(h, self.vocab.index(token))
 
     def candidate_log_probs(self, hv: np.ndarray,
                             candidates: Sequence[Candidate], **_) -> np.ndarray:
-        lp = self.branch_log_probs_np(hv)
-        out = np.empty(len(candidates))
+        lp = self.log_probs(hv)
+        unk = self.vocab.unk_numeral_index
+        rows = [self.rows.get(c.surface, unk) for c in candidates]
+        return lp[rows] - np_logsumexp(lp[self.first:])
+
+
+class ClosedNumeralBranch(ClosedSoftmax):
+    """Softmax over the numeral inventory, UNK included."""
+
+    def __init__(self, params: ParamStore, vocab: Vocabulary, dim: int,
+                 rng: np.random.Generator, plus_rnn: bool):
+        super().__init__(params, "out.num.E_out", vocab.n_numerals, dim, rng,
+                         numerals=vocab.in_vocab_numerals(),
+                         char_name="out.num.char" if plus_rnn else None)
+        self.vocab = vocab
+
+    def log_prob_token(self, h: Tensor, token: Token) -> Tensor:
+        return self.log_prob(h, self.vocab.numeral_branch_index(token))
+
+    def candidate_log_probs(self, hv: np.ndarray,
+                            candidates: Sequence[Candidate], **_) -> np.ndarray:
         unk = self.vocab.n_numerals - 1
-        inv = {s: i for i, s in enumerate(self.vocab.in_vocab_numerals())}
-        for i, c in enumerate(candidates):
-            out[i] = lp[inv.get(c.surface, unk)]
-        return out
+        return self.log_probs(hv)[[self.rows.get(c.surface, unk) for c in candidates]]
 
 
 class Hierarchical:
@@ -164,31 +142,22 @@ class Hierarchical:
                  rng: np.random.Generator, numeral_branch):
         self.vocab = vocab
         self.b = params.create("out.class_gate.b", uniform_init(rng, (dim,)))
-        self.E_word = params.create("out.word.E_out",
-                                    uniform_init(rng, (vocab.n_words, dim)))
+        self.words = ClosedSoftmax(params, "out.word.E_out", vocab.n_words, dim, rng)
         self.numeral_branch = numeral_branch
 
     def prepare(self):
         if hasattr(self.numeral_branch, "prepare"):
             self.numeral_branch.prepare()
 
-    def class_probs(self, h: Tensor) -> Tuple[float, float]:
-        with ad.no_grad():
-            p_num = float(ad.sigmoid(self.b @ h).value)
-        return 1.0 - p_num, p_num
-
-    def word_log_prob(self, h: Tensor, token: Token) -> Tensor:
-        return ad.log_softmax(self.E_word @ h)[self.vocab.word_branch_index(token)]
-
-    def log_prob(self, h: Tensor, token: Token) -> Tensor:
+    def log_prob_token(self, h: Tensor, token: Token) -> Tensor:
         score = self.b @ h
         if token.is_numeral:
             return _log_sigmoid(score) + self.numeral_branch.log_prob_token(h, token)
-        return _log_one_minus_sigmoid(score) + self.word_log_prob(h, token)
+        return _log_one_minus_sigmoid(score) + \
+            self.words.log_prob(h, self.vocab.word_branch_index(token))
 
-    def numeral_candidate_log_probs(self, hv: np.ndarray,
-                                    candidates: Sequence[Candidate],
-                                    **kw) -> np.ndarray:
+    def candidate_log_probs(self, hv: np.ndarray,
+                            candidates: Sequence[Candidate], **kw) -> np.ndarray:
         return self.numeral_branch.candidate_log_probs(hv, candidates, **kw)
 
 
@@ -251,11 +220,10 @@ class NumerateLM:
 
     # -- scoring ----------------------------------------------------------
     def prepare(self):
-        if hasattr(self.strategy, "prepare"):
-            self.strategy.prepare()
+        self.strategy.prepare()
 
     def token_log_prob(self, h: Tensor, token: Token) -> Tensor:
-        return self.strategy.log_prob(h, token)
+        return self.strategy.log_prob_token(h, token)
 
     def doc_log_probs(self, tokens: Sequence[Token], *, train: bool = False,
                       drop_rate: float = 0.0, rng=None) -> List[Tensor]:
@@ -291,4 +259,4 @@ class NumerateLM:
                                     candidates: Sequence[Candidate],
                                     **kw) -> np.ndarray:
         """log p(candidate | numeral class, h), grad-free."""
-        return self.strategy.numeral_candidate_log_probs(hv, candidates, **kw)
+        return self.strategy.candidate_log_probs(hv, candidates, **kw)

@@ -3,23 +3,23 @@ discretised mixture of Gaussians with a precision-pattern model, and a gated
 combination of strategies.
 
 Every branch exposes:
-  log_prob(h, token)            graph-mode scalar Tensor
+  log_prob_token(h, token)      graph-mode scalar Tensor
   candidate_log_probs(hv, cs)   grad-free numpy scoring for decoding
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf, log_softmax as np_log_softmax
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .compute import LstmCell, ParamStore, uniform_init
+from .compute import ParamStore, uniform_init
 from .corpus import Token
-from .embed import CHAR_INDEX, CHAR_SOS, CHARS, EMIT_CHARS, EOS_INDEX, N_CHARS, N_EMIT, EmbeddingTable
+from .embed import EOS_INDEX, N_CHARS, N_EMIT, SymbolLstm, char_indices
 from .gmm import GaussianMixtureBank
 
 
@@ -30,106 +30,28 @@ class Candidate:
     precision: int
 
 
-def _np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-class DigitRnn:
+class DigitRnn(SymbolLstm):
     """Character-level LSTM over {0-9, '.', EOS}, conditioned on the token
     state via the initial hidden state. Normalised one symbol at a time."""
 
     def __init__(self, params: ParamStore, name: str, dim: int,
                  rng: np.random.Generator):
-        self.dim = dim
-        self.chars = EmbeddingTable(params, f"{name}.chars", N_CHARS, dim, rng)
-        self.cell = LstmCell(params, f"{name}.lstm", dim, dim, rng)
-        self.Wout = params.create(f"{name}.out.W", uniform_init(rng, (N_EMIT, dim)))
-        self.bout = params.create(f"{name}.out.b", uniform_init(rng, (N_EMIT,)))
-
-    def _symbols(self, surface: str) -> List[int]:
-        try:
-            return [CHAR_INDEX[ch] for ch in surface]
-        except KeyError as e:
-            raise ValueError(f"character outside digit vocabulary: {e}") from None
+        super().__init__(params, name, "chars", N_CHARS, dim, rng, emit=True)
 
     def log_prob(self, h: Tensor, surface: str) -> Tensor:
-        targets = self._symbols(surface) + [EOS_INDEX]
-        state = (h, Tensor(np.zeros(self.dim)))
-        prev = CHAR_INDEX[CHAR_SOS]
-        total = None
-        for tgt in targets:
-            state = self.cell.step(self.chars(prev), state)
-            lp = ad.log_softmax((self.Wout @ state[0]) + self.bout)[tgt]
-            total = lp if total is None else total + lp
-            prev = tgt
-        return total
+        return self.sequence_log_prob(h, char_indices(surface) + [EOS_INDEX])
 
     def log_prob_token(self, h: Tensor, token: Token) -> Tensor:
         return self.log_prob(h, token.surface)
 
-    # -- grad-free helpers ------------------------------------------------
     def first_emission_probs(self, hv: np.ndarray) -> np.ndarray:
         """Distribution over the 12 emission symbols for the first step."""
-        h = hv[None, :]
-        c = np.zeros_like(h)
-        x = self.chars.E.value[CHAR_INDEX[CHAR_SOS]][None, :]
-        h, c = self.cell.step_batch(x, h, c)
-        logits = h @ self.Wout.value.T + self.bout.value
-        return np.exp(np_log_softmax(logits[0]))
+        return np.exp(self.batch_log_probs(hv, [[s] for s in range(N_EMIT)]))
 
     def candidate_log_probs(self, hv: np.ndarray,
                             candidates: Sequence[Candidate]) -> np.ndarray:
-        seqs = [[CHAR_INDEX[ch] for ch in c.surface] + [EOS_INDEX] for c in candidates]
-        n = len(seqs)
-        max_len = max(len(s) for s in seqs)
-        targets = np.full((n, max_len), -1, dtype=int)
-        for i, s in enumerate(seqs):
-            targets[i, :len(s)] = s
-        inputs = np.full((n, max_len), CHAR_INDEX[CHAR_SOS], dtype=int)
-        inputs[:, 1:] = targets[:, :-1]
-        H = np.repeat(hv[None, :], n, axis=0)
-        C = np.zeros_like(H)
-        out = np.zeros(n)
-        for t in range(max_len):
-            active = targets[:, t] >= 0
-            x = self.chars.E.value[np.maximum(inputs[:, t], 0)]
-            H2, C2 = self.cell.step_batch(x, H, C)
-            H = np.where(active[:, None], H2, H)
-            C = np.where(active[:, None], C2, C)
-            logits = H @ self.Wout.value.T + self.bout.value
-            lp = np_log_softmax(logits, axis=1)
-            idx = np.maximum(targets[:, t], 0)
-            out += np.where(active, lp[np.arange(n), idx], 0.0)
-        return out
-
-    def trie_mass(self, hv: np.ndarray, depth: int) -> float:
-        """Terminated mass over all symbol strings of length <= depth plus
-        the continuation mass of unterminated depth-length prefixes.
-        Telescopes to 1 for a properly normalised model."""
-        cont_syms = list(range(N_EMIT - 1))  # digits and '.', EOS excluded
-        H = hv[None, :].copy()
-        C = np.zeros_like(H)
-        X = self.chars.E.value[CHAR_INDEX[CHAR_SOS]][None, :]
-        H, C = self.cell.step_batch(X, H, C)
-        logp = np.zeros(1)
-        total = 0.0
-        for level in range(depth):
-            lp = np_log_softmax(H @ self.Wout.value.T + self.bout.value, axis=1)
-            total += float(np.exp(logp + lp[:, EOS_INDEX]).sum())
-            n = H.shape[0]
-            new_logp = (logp[:, None] + lp[:, cont_syms]).T.reshape(-1)
-            newH = np.empty((n * len(cont_syms), self.dim))
-            newC = np.empty_like(newH)
-            for j, sym in enumerate(cont_syms):
-                x = np.repeat(self.chars.E.value[sym][None, :], n, axis=0)
-                h2, c2 = self.cell.step_batch(x, H, C)
-                newH[j * n:(j + 1) * n] = h2
-                newC[j * n:(j + 1) * n] = c2
-            H, C, logp = newH, newC, new_logp
-        lp = np_log_softmax(H @ self.Wout.value.T + self.bout.value, axis=1)
-        total += float(np.exp(logp + lp[:, EOS_INDEX]).sum())  # EOS at final level
-        cont = float(np.exp(logp[:, None] + lp[:, cont_syms]).sum())
-        return total + cont
+        return self.batch_log_probs(
+            hv, [char_indices(c.surface) + [EOS_INDEX] for c in candidates])
 
 
 # pattern-model inventories
@@ -153,7 +75,7 @@ def _pattern_transition_masks() -> np.ndarray:
     return masks
 
 
-class PrecisionPatternModel:
+class PrecisionPatternModel(SymbolLstm):
     """Sequence model over {INT_PART, '.', \\d, EOS} giving p(r), the
     distribution over decimal precision, conditioned on the token state.
 
@@ -165,11 +87,8 @@ class PrecisionPatternModel:
 
     def __init__(self, params: ParamStore, name: str, dim: int,
                  rng: np.random.Generator):
-        self.dim = dim
-        self.emb = EmbeddingTable(params, f"{name}.emb", 5, dim, rng)
-        self.cell = LstmCell(params, f"{name}.lstm", dim, dim, rng)
-        self.Wout = params.create(f"{name}.out.W", uniform_init(rng, (N_PATTERN_EMIT, dim)))
-        self.bout = params.create(f"{name}.out.b", uniform_init(rng, (N_PATTERN_EMIT,)))
+        super().__init__(params, name, "emb", PATTERN_SOS + 1, dim, rng,
+                         emit=True, log_mask=self.MASKS)
 
     @staticmethod
     def pattern_targets(r: int) -> List[int]:
@@ -180,35 +99,12 @@ class PrecisionPatternModel:
         return [PATTERN_INT, PATTERN_POINT] + [PATTERN_DIGIT] * r + [PATTERN_EOS]
 
     def log_prob(self, h: Tensor, r: int) -> Tensor:
-        targets = self.pattern_targets(r)
-        state = (h, Tensor(np.zeros(self.dim)))
-        prev = PATTERN_SOS
-        total = None
-        for tgt in targets:
-            state = self.cell.step(self.emb(prev), state)
-            logits = (self.Wout @ state[0]) + self.bout + Tensor(self.MASKS[prev])
-            lp = ad.log_softmax(logits)[tgt]
-            total = lp if total is None else total + lp
-            prev = tgt
-        return total
+        return self.sequence_log_prob(h, self.pattern_targets(r))
 
     def log_probs_upto(self, hv: np.ndarray, r_max: int) -> np.ndarray:
         """log p(r) for r = 0..r_max, grad-free."""
-        out = np.empty(r_max + 1)
-        for r in range(r_max + 1):
-            targets = self.pattern_targets(r)
-            h = hv[None, :]
-            c = np.zeros_like(h)
-            prev = PATTERN_SOS
-            lp = 0.0
-            for tgt in targets:
-                x = self.emb.E.value[prev][None, :]
-                h, c = self.cell.step_batch(x, h, c)
-                logits = h[0] @ self.Wout.value.T + self.bout.value + self.MASKS[prev]
-                lp += np_log_softmax(logits)[tgt]
-                prev = tgt
-            out[r] = lp
-        return out
+        return self.batch_log_probs(
+            hv, [self.pattern_targets(r) for r in range(r_max + 1)])
 
 
 def precision_half_width(r: int) -> float:
@@ -239,14 +135,6 @@ class MogHead:
     def mixture_weights(self, h: Tensor) -> Tensor:
         return ad.softmax(self.B @ h)
 
-    def density(self, h: Tensor, v: float) -> float:
-        """pdf value q(v); grad-free."""
-        with ad.no_grad():
-            pi = self.mixture_weights(h).value
-        z = (v - self.means) / self.sigmas
-        pdf = np.exp(-0.5 * z * z) / (self.sigmas * math.sqrt(2 * math.pi))
-        return float(pi @ pdf)
-
     def _component_cell_masses(self, values, rs) -> np.ndarray:
         """F_k(v + eps_r) - F_k(v - eps_r) per value (rows) and component (cols)."""
         v = np.atleast_1d(np.asarray(values, dtype=np.float64))
@@ -256,14 +144,6 @@ class MogHead:
         hi = (v[:, None] + eps - self.means[None, :]) / scale
         lo = (v[:, None] - eps - self.means[None, :]) / scale
         return 0.5 * (erf(hi) - erf(lo))
-
-    def pmf(self, h: Tensor, v: float, r: int) -> float:
-        """Discretised mass Q(v|r) under current mixture weights; grad-free."""
-        _check_on_grid(v, r)
-        with ad.no_grad():
-            pi = self.mixture_weights(h).value
-        q = self._component_cell_masses(np.array([v]), r)[0]
-        return float(pi @ q)
 
     def log_prob(self, h: Tensor, token: Token) -> Tensor:
         """log p(s) = log p(r) + log Q(v|r); graph mode."""
@@ -307,12 +187,11 @@ class CombinationHead:
 
     def __init__(self, params: ParamStore, name: str, dim: int, vocab,
                  bank: GaussianMixtureBank, rng: np.random.Generator):
+        from .heads import ClosedSoftmax  # heads imports this module
         self.dim = dim
-        self.vocab = vocab
-        self.inventory = vocab.in_vocab_numerals()
-        self.inv_index = {s: i for i, s in enumerate(self.inventory)}
-        self.E_out = params.create(f"{name}.closed.E_out",
-                                   uniform_init(rng, (len(self.inventory), dim)))
+        inventory = vocab.in_vocab_numerals()
+        self.closed = ClosedSoftmax(params, f"{name}.closed.E_out", len(inventory),
+                                    dim, rng, numerals=inventory)
         self.drnn = DigitRnn(params, f"{name}.drnn", dim, rng)
         self.mog = MogHead(params, f"{name}.mog", dim, bank, rng)
         self.A = params.create(f"{name}.A", uniform_init(rng, (3, dim)))
@@ -324,10 +203,8 @@ class CombinationHead:
         return np.exp(np_log_softmax(self.A.value @ hv))
 
     def closed_log_prob(self, h: Tensor, surface: str) -> Optional[Tensor]:
-        idx = self.inv_index.get(surface)
-        if idx is None:
-            return None
-        return ad.log_softmax(self.E_out @ h)[idx]
+        row = self.closed.rows.get(surface)
+        return None if row is None else self.closed.log_prob(h, row)
 
     def log_prob_token(self, h: Tensor, token: Token) -> Tensor:
         log_alpha = self.selection_log_probs(h)
@@ -343,13 +220,13 @@ class CombinationHead:
                             candidates: Sequence[Candidate],
                             q_matrix: Optional[np.ndarray] = None) -> np.ndarray:
         la = np_log_softmax(self.A.value @ hv)
-        closed_lp = np_log_softmax(self.E_out.value @ hv) if self.inventory else None
-        n = len(candidates)
-        parts = np.full((3, n), -np.inf)
-        for i, c in enumerate(candidates):
-            idx = self.inv_index.get(c.surface)
-            if idx is not None:
-                parts[0, i] = closed_lp[idx]
+        parts = np.full((3, len(candidates)), -np.inf)
+        if self.closed.numerals:
+            closed_lp = self.closed.log_probs(hv)
+            for i, c in enumerate(candidates):
+                row = self.closed.rows.get(c.surface)
+                if row is not None:
+                    parts[0, i] = closed_lp[row]
         parts[1] = self.drnn.candidate_log_probs(hv, candidates)
         parts[2] = self.mog.candidate_log_probs(hv, candidates, q_matrix=q_matrix)
         stacked = la[:, None] + parts

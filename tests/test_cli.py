@@ -5,7 +5,9 @@ import struct
 import numpy as np
 import pytest
 
+from numlm import cli
 from numlm.cli import main
+from numlm.compute import NonFiniteLoss
 from numlm.train import CHECKPOINT_FORMAT_VERSION
 
 
@@ -140,6 +142,27 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "99" in err and str(CHECKPOINT_FORMAT_VERSION) in err
+
+    def test_truncated_bank_exits_cleanly(self, pipeline, capsys):
+        tmp_path, corpus, data, run, cfg = pipeline
+        bank = tmp_path / "truncated_bank.txt"
+        bank.write_text("#components=3\n60.0 4.0 2\n")
+        cfg.write_text(cfg.read_text().replace(f"{data}/bank.txt", str(bank)))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bank) in err
+        assert "Traceback" not in err
+
+    def test_non_finite_loss_exits_cleanly(self, pipeline, capsys, monkeypatch):
+        tmp_path, corpus, data, run, cfg = pipeline
+
+        def diverge(*args, **kwargs):
+            raise NonFiniteLoss("non-finite loss at document 3")
+
+        monkeypatch.setattr(cli, "train_model", diverge)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "document 3" in err
 
     def test_train_determinism_bit_identical(self, pipeline):
         tmp_path, corpus, data, run, cfg = pipeline

@@ -103,3 +103,10 @@ class TestBank:
         np.testing.assert_array_equal(loaded.means, bank.means)
         np.testing.assert_array_equal(loaded.variances, bank.variances)
         np.testing.assert_array_equal(loaded.source_k, bank.source_k)
+
+    @pytest.mark.parametrize("body", ["60.0 4.0 2\n", "60.0 4.0 2\n1.0 2.0\n7.0 1.0 2\n"])
+    def test_truncated_bank_rejected(self, tmp_path, body):
+        path = tmp_path / "bank.txt"
+        path.write_text("#components=3\n" + body)
+        with pytest.raises(ValueError, match=r"bank\.txt.* 3 components.*found [12] rows"):
+            GaussianMixtureBank.load(str(path))
