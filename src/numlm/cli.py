@@ -237,12 +237,13 @@ def cmd_analyze(args) -> int:
     model, config, extra = _load_checkpoint_or_refuse(args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.checkpoint]
-    if args.mode == "benford":
+    if args.mode in ("benford", "selection"):
         if not args.data_dir:
-            raise ValueError("--data-dir is required for --mode benford")
-        splits = _read_splits(args.data_dir, required=("test",))
+            raise ValueError(f"--data-dir is required for --mode {args.mode}")
+        test = _read_splits(args.data_dir, required=("test",))["test"]
         inputs.append(os.path.join(args.data_dir, "test.txt"))
-        dist = ev.benford_model_distribution(model, splits["test"])
+    if args.mode == "benford":
+        dist = ev.benford_model_distribution(model, test)
         ref = ev.benford_reference(1)
         path = os.path.join(args.out, "benford.csv")
         with open(path, "w", encoding="utf-8") as f:
@@ -251,16 +252,11 @@ def cmd_analyze(args) -> int:
                 f.write(f"{d + 1},{float(dist[d])!r},{float(ref[d])!r}\n")
         artifacts = ["benford.csv"]
     elif args.mode == "similarity":
-        if args.tokens:
-            surfaces = args.tokens.split(",")
-            labels, matrix, skipped = ev.embedding_similarity_report(model, surfaces)
-            for s in skipped:
-                print(f"note: {s!r} has no output embedding, skipped",
-                      file=sys.stderr)
-        elif model.kind in ("d-rnn", "combination"):
+        if not args.tokens and model.kind in ("d-rnn", "combination"):
             labels, matrix = ev.digit_similarity_report(model)
         else:
-            surfaces = sorted(model.vocab.in_vocab_numerals(), key=float)
+            surfaces = (args.tokens.split(",") if args.tokens else
+                        sorted(model.vocab.in_vocab_numerals(), key=float))
             labels, matrix, skipped = ev.embedding_similarity_report(model, surfaces)
             for s in skipped:
                 print(f"note: {s!r} has no output embedding, skipped",
@@ -269,11 +265,7 @@ def cmd_analyze(args) -> int:
                                 labels, matrix)
         artifacts = ["similarity.csv"]
     else:  # selection
-        if not args.data_dir:
-            raise ValueError("--data-dir is required for --mode selection")
-        splits = _read_splits(args.data_dir, required=("test",))
-        inputs.append(os.path.join(args.data_dir, "test.txt"))
-        rows = ev.strategy_selection(model, splits["test"])
+        rows = ev.strategy_selection(model, test)
         ev.write_selection_csv(os.path.join(args.out, "selection.csv"), rows)
         artifacts = ["selection.csv"]
     _write_manifest(args.out, "analyze",

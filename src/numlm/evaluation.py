@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from . import autodiff as ad
 from .corpus import Kind, Token, Vocabulary
 from .gmm import percentile_init
 from .heads import NumerateLM
@@ -24,6 +25,8 @@ class TokenRecord:
     kind: Kind
     oov: bool
     logp: float
+    token: Optional[Token] = None
+    state: Optional[np.ndarray] = None  # numerals: the state they were scored from
 
 
 CLASS_FILTERS = ("words", "numerals", "all")
@@ -41,13 +44,19 @@ def _in_filter(rec: TokenRecord, class_filter: str) -> bool:
 
 def score_corpus(model: NumerateLM,
                  corpus: Sequence[Sequence[Token]]) -> List[TokenRecord]:
+    """The one grad-free forward over a corpus; decoding, Benford and
+    strategy selection read the numeral states it keeps."""
+    with ad.no_grad():
+        model.prepare()
     records: List[TokenRecord] = []
     for doc in corpus:
         if not doc:
             continue
-        logps, _ = model.score_doc(doc)
-        for tok, lp in zip(doc, logps):
-            records.append(TokenRecord(tok.kind, model.vocab.is_oov(tok), float(lp)))
+        logps, states = model.score_doc(doc, collect_numeral_states=True)
+        hs = dict(states)
+        records += [TokenRecord(tok.kind, model.vocab.is_oov(tok), float(lp),
+                                tok, hs.get(t))
+                    for t, (tok, lp) in enumerate(zip(doc, logps))]
     return records
 
 
@@ -133,10 +142,9 @@ def build_candidate_set(train_values: Sequence[float], vocab: Vocabulary,
 def _candidate_kwargs(model: NumerateLM, candidates: Sequence[Candidate]) -> dict:
     """Per-checkpoint cacheable pieces of candidate scoring."""
     branch = getattr(model.strategy, "numeral_branch", None)
-    if isinstance(branch, MogHead):
-        return {"q_matrix": branch.candidate_q_matrix(candidates)}
-    if isinstance(branch, CombinationHead):
-        return {"q_matrix": branch.mog.candidate_q_matrix(candidates)}
+    mog = branch.mog if isinstance(branch, CombinationHead) else branch
+    if isinstance(mog, MogHead):
+        return {"q_matrix": mog.candidate_q_matrix(candidates)}
     return {}
 
 
@@ -145,37 +153,27 @@ def decode_number(model: NumerateLM, hv: np.ndarray,
     """Most probable candidate under the numeral branch; ties break toward
     smaller value, then fewer decimals."""
     scores = model.numeral_candidate_log_probs(hv, candidates, **kw)
-    best = 0
-    for i in range(1, len(candidates)):
-        ci, cb = candidates[i], candidates[best]
-        key_i = (scores[i], -ci.value, -ci.precision)
-        key_b = (scores[best], -cb.value, -cb.precision)
-        if key_i > key_b:
-            best = i
+    best = max(range(len(candidates)), key=lambda i: (
+        scores[i], -candidates[i].value, -candidates[i].precision))
     return candidates[best]
 
 
 @dataclass
 class DecodeResult:
-    doc: int
-    position: int
     truth: float
     predicted: float
     predicted_surface: str
 
 
-def decode_corpus(model: NumerateLM, corpus: Sequence[Sequence[Token]],
+def decode_corpus(model: NumerateLM, records: Sequence[TokenRecord],
                   candidates: Sequence[Candidate]) -> List[DecodeResult]:
+    """Decode every numeral of `score_corpus` records, in corpus order."""
     kw = _candidate_kwargs(model, candidates)
     results: List[DecodeResult] = []
-    for d, doc in enumerate(corpus):
-        if not doc:
-            continue
-        _, states = model.score_doc(doc, collect_numeral_states=True)
-        for pos, hv in states:
-            pred = decode_number(model, hv, candidates, **kw)
-            results.append(DecodeResult(d, pos, doc[pos].value,
-                                        pred.value, pred.surface))
+    for r in records:
+        if r.state is not None:
+            pred = decode_number(model, r.state, candidates, **kw)
+            results.append(DecodeResult(r.token.value, pred.value, pred.surface))
     return results
 
 
@@ -251,20 +249,14 @@ def benford_model_distribution(model: NumerateLM,
     """First-digit distribution of a d-RNN branch, marginalising the first
     emission over context states at numeral positions ('0' excluded)."""
     drnn = _digit_rnn(model)
-    acc = np.zeros(9)
-    n = 0
-    for doc in corpus:
-        if not doc:
-            continue
-        _, states = model.score_doc(doc, collect_numeral_states=True)
-        for _, hv in states:
-            probs = drnn.first_emission_probs(hv)
-            digits = probs[1:10]  # symbols '1'..'9'
-            acc += digits / digits.sum()
-            n += 1
-    if n == 0:
+    numerals = [r for r in score_corpus(model, corpus) if r.state is not None]
+    if not numerals:
         raise ValueError("no numeral positions in corpus")
-    return acc / n
+    acc = np.zeros(9)
+    for r in numerals:
+        digits = drnn.first_emission_probs(r.state)[1:10]  # symbols '1'..'9'
+        acc += digits / digits.sum()
+    return acc / len(numerals)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -291,20 +283,21 @@ def output_embedding_rows(model: NumerateLM, surfaces: Sequence[str]
     for s in surfaces:
         idx = vocab.index_of(s)
         if idx is None:
+            table = None
+        elif not model.hierarchical:
+            table, row = strategy, idx
+        elif idx < vocab.n_words:
+            table, row = strategy.words, idx
+        else:
+            # the closed numeral branch, or the combination's closed
+            # constituent, which has no row for the last index, UNK_NUM
+            branch = strategy.numeral_branch
+            table, row = getattr(branch, "closed", branch), idx - vocab.n_words
+        E_out = getattr(table, "E_out", None)
+        if E_out is None or row >= E_out.shape[0]:
             skipped.append(s)
             continue
-        if hasattr(strategy, "E_out"):  # flat softmax
-            rows.append(strategy.E_out.value[idx])
-        elif idx < vocab.n_words:
-            rows.append(strategy.words.E_out.value[idx])
-        else:
-            # the closed numeral branch, or the combination's closed constituent
-            branch = strategy.numeral_branch
-            table = getattr(branch, "closed", branch)
-            if not hasattr(table, "E_out"):
-                skipped.append(s)
-                continue
-            rows.append(table.E_out.value[idx - vocab.n_words])
+        rows.append(E_out.value[row])
         kept.append(s)
     return kept, np.array(rows), skipped
 
@@ -340,15 +333,12 @@ def strategy_selection(model: NumerateLM,
         raise ValueError("strategy selection needs a combination model")
     sums: Dict[str, np.ndarray] = {}
     counts: Dict[str, int] = {}
-    for doc in corpus:
-        if not doc:
+    for r in score_corpus(model, corpus):
+        if r.state is None:
             continue
-        _, states = model.score_doc(doc, collect_numeral_states=True)
-        for pos, hv in states:
-            s = doc[pos].surface
-            alpha = branch.selection_probs(hv)
-            sums[s] = sums.get(s, np.zeros(3)) + alpha
-            counts[s] = counts.get(s, 0) + 1
+        s = r.token.surface
+        sums[s] = sums.get(s, np.zeros(3)) + branch.selection_probs(r.state)
+        counts[s] = counts.get(s, 0) + 1
     rows = []
     for s in sorted(sums, key=lambda k: (-counts[k], k)):
         mean = sums[s] / counts[s]
@@ -386,36 +376,27 @@ def evaluate(model: NumerateLM,
 
     train_numerals = [t for doc in train_corpus for t in doc if t.is_numeral]
     train_values = [t.value for t in train_numerals]
-    reg: dict
-    benford: dict
-    if train_values and any(t.is_numeral for doc in test_corpus for t in doc):
+    n, candidates, decoded = 0, [], []
+    if train_values and any(r.state is not None for r in records):
         n = choose_decimal_limit([t.precision for t in train_numerals], coverage)
         candidates = build_candidate_set(train_values, vocab, n)
-        decoded = decode_corpus(model, test_corpus, candidates)
-        reg = regression_metrics([d.truth for d in decoded],
-                                 [d.predicted for d in decoded])
-        test_values = [t.value for doc in test_corpus for t in doc if t.is_numeral]
-        dist = benford_corpus_distribution(test_values, position=1)
-        ref = benford_reference(1)
-        benford = {
-            "position": 1,
-            "digits": {str(d + 1): float(dist[d]) for d in range(9)},
-            "reference": {str(d + 1): float(ref[d]) for d in range(9)},
-        }
-        cand_meta = {"size": len(candidates), "decimal_limit": n}
-    else:
-        reg = {"rmse": None, "mae": None, "mdae": None, "mape": None,
-               "mdape": None, "excluded_zero_targets": 0}
-        benford = {"position": 1, "digits": {}, "reference": {}}
-        cand_meta = {"size": 0, "decimal_limit": 0}
+        decoded = decode_corpus(model, records, candidates)
+    test_values = [d.truth for d in decoded]
+    dist = benford_corpus_distribution(test_values, position=1)
+    ref = benford_reference(1)
+    digits = range(9) if decoded else ()
 
     return {
         "model": model.kind,
         "pp": pp,
         "app": app,
-        "reg": reg,
-        "benford": benford,
-        "candidates": cand_meta,
+        "reg": regression_metrics(test_values, [d.predicted for d in decoded]),
+        "benford": {
+            "position": 1,
+            "digits": {str(d + 1): float(dist[d]) for d in digits},
+            "reference": {str(d + 1): float(ref[d]) for d in digits},
+        },
+        "candidates": {"size": len(candidates), "decimal_limit": n},
         "oov": {
             "word_types": oov_sizes["word"],
             "numeral_types": oov_sizes["numeral"],

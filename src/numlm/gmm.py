@@ -57,8 +57,9 @@ def em_fit(values: Sequence[float], k: int,
     """Standard EM for a 1-D Gaussian mixture.
 
     Stops when the log-likelihood improves by less than TOL or after
-    MAX_ITER iterations. Collapsed components are floored in variance with a
-    warning. Raises ValueError if K exceeds the number of distinct values.
+    MAX_ITER iterations. Collapsed components are floored in variance, with
+    one warning per fit that counts the floorings. Raises ValueError if K
+    exceeds the number of distinct values.
     """
     x = np.asarray(values, dtype=np.float64)
     if k < 1:
@@ -74,6 +75,7 @@ def em_fit(values: Sequence[float], k: int,
     variances = np.full(k, max(float(x.var()), floor))
     weights = np.full(k, 1.0 / k)
     trace: List[float] = []
+    floored = []  # components floored, per iteration that floored any
     prev_ll = -math.inf
     for _ in range(MAX_ITER):
         # E step
@@ -95,10 +97,13 @@ def em_fit(values: Sequence[float], k: int,
         means = (resp * x[:, None]).sum(axis=0) / nk
         d = x[:, None] - means[None, :]
         variances = (resp * d * d).sum(axis=0) / nk
-        collapsed = variances < floor
-        if collapsed.any():
-            warnings.warn(f"floored {int(collapsed.sum())} collapsed component(s)")
+        collapsed = int((variances < floor).sum())
+        if collapsed:
+            floored.append(collapsed)
             variances = np.maximum(variances, floor)
+    if floored:
+        warnings.warn(f"K={k}: floored {sum(floored)} collapsed component variance(s) "
+                      f"on {len(floored)} EM iteration(s)")
     return MixtureFit(weights, means, variances, trace)
 
 

@@ -10,7 +10,7 @@ token-character embeddings for numerals.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import log_softmax as np_log_softmax, logsumexp as np_logsumexp
@@ -66,8 +66,8 @@ class ClosedSoftmax:
         self._char_cols: Optional[List[Tensor]] = None
 
     def prepare(self):
-        """Recompute the character-composed columns (call once per
-        optimiser step; they depend on parameters, not on the state)."""
+        """Recompute the character-composed columns; they depend on the
+        parameters, not on the state."""
         if self.char_out is not None:
             self._char_cols = [self.char_out(s) for s in self.numerals]
 
@@ -220,7 +220,15 @@ class NumerateLM:
 
     # -- scoring ----------------------------------------------------------
     def prepare(self):
+        """Rebuild the +rnn character columns from the current parameters."""
         self.strategy.prepare()
+
+    def load_arrays(self, arrays: Dict[str, np.ndarray]):
+        """Set every parameter; the +rnn columns are rebuilt on first use."""
+        self.params.load_arrays(arrays)
+        for head in (self.strategy, getattr(self.strategy, "numeral_branch", None)):
+            if isinstance(head, ClosedSoftmax):
+                head._char_cols = None
 
     def token_log_prob(self, h: Tensor, token: Token) -> Tensor:
         return self.strategy.log_prob_token(h, token)
@@ -230,30 +238,32 @@ class NumerateLM:
         """Per-token log probabilities; token t is predicted from the state
         after consuming tokens < t (zero initial state)."""
         self.prepare()
+        return self._token_loop(tokens, None, train, drop_rate, rng)
+
+    def score_doc(self, tokens: Sequence[Token],
+                  collect_numeral_states: bool = False):
+        """Grad-free scoring. Returns (log-prob array, [(position, h)] at
+        numeral positions if requested). It does not prepare: `score_corpus`
+        and `dev_cross_entropy` call `prepare()` once per pass, under
+        no_grad; `doc_log_probs` rebuilds the columns for every training
+        document; a new or reloaded model builds them on first use."""
+        states: List[Tuple[int, np.ndarray]] = []
+        with ad.no_grad():
+            out = self._token_loop(tokens, states if collect_numeral_states else None)
+        return np.array([float(lp.value) for lp in out]), states
+
+    def _token_loop(self, tokens: Sequence[Token], numeral_states: Optional[list],
+                    train=False, drop_rate=0.0, rng=None) -> List[Tensor]:
         out: List[Tensor] = []
         state = self.initial_state()
-        for tok in tokens:
+        for t, tok in enumerate(tokens):
+            if numeral_states is not None and tok.is_numeral:
+                numeral_states.append((t, state[0].value.copy()))
             h = dropout(state[0], drop_rate, rng, train)
             out.append(self.token_log_prob(h, tok))
             state = self.advance(state, tok, train=train,
                                  drop_rate=drop_rate, rng=rng)
         return out
-
-    def score_doc(self, tokens: Sequence[Token],
-                  collect_numeral_states: bool = False):
-        """Grad-free scoring. Returns (log-prob array, [(position, h)] at
-        numeral positions if requested)."""
-        with ad.no_grad():
-            self.prepare()
-            logps = np.empty(len(tokens))
-            states: List[Tuple[int, np.ndarray]] = []
-            state = self.initial_state()
-            for t, tok in enumerate(tokens):
-                if collect_numeral_states and tok.is_numeral:
-                    states.append((t, state[0].value.copy()))
-                logps[t] = float(self.token_log_prob(state[0], tok).value)
-                state = self.advance(state, tok)
-        return logps, states
 
     def numeral_candidate_log_probs(self, hv: np.ndarray,
                                     candidates: Sequence[Candidate],

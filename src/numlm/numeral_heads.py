@@ -158,10 +158,9 @@ class MogHead:
     def candidate_log_probs(self, hv: np.ndarray,
                             candidates: Sequence[Candidate],
                             q_matrix: Optional[np.ndarray] = None) -> np.ndarray:
-        values = np.array([c.value for c in candidates])
         rs = np.array([c.precision for c in candidates])
         if q_matrix is None:
-            q_matrix = self._component_cell_masses(values, rs)
+            q_matrix = self.candidate_q_matrix(candidates)
         pi = np.exp(np_log_softmax(self.B.value @ hv))
         mass = q_matrix @ pi
         r_max = int(rs.max())

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import autodiff as ad
 from .compute import Adam, NonFiniteLoss
 from .corpus import Token, Vocabulary
 from .gmm import GaussianMixtureBank
@@ -94,6 +95,8 @@ class EpochLog:
 
 
 def dev_cross_entropy(model: NumerateLM, corpus: Sequence[Sequence[Token]]) -> float:
+    with ad.no_grad():
+        model.prepare()
     total = 0.0
     n = 0
     for doc in corpus:
@@ -158,7 +161,7 @@ def train_model(config: RunConfig,
             if stale >= config.patience:
                 break
     if best_params is not None:
-        model.params.load_arrays(best_params)
+        model.load_arrays(best_params)
     return model, history
 
 
@@ -194,20 +197,28 @@ def save_checkpoint(path: str, model: NumerateLM, config: RunConfig,
 
 
 def load_checkpoint(path: str) -> Tuple[NumerateLM, RunConfig, dict]:
+    """Raises ValueError naming the file unless the buffers after the header
+    are exactly those its shapes declare."""
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
+        def read(size: int, what: str) -> bytes:
+            buf = f.read(size)
+            if len(buf) < size:
+                raise ValueError(f"truncated checkpoint {path}: ends inside {what}")
+            return buf
+
+        if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (n,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(n).decode("utf-8"))
+        (n,) = struct.unpack("<Q", read(8, "the header length"))
+        header = json.loads(read(n, "the header").decode("utf-8"))
         if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise VersionMismatch(header["format_version"], CHECKPOINT_FORMAT_VERSION)
         arrays: Dict[str, np.ndarray] = {}
         for meta in header["params"]:
             shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * count)
+            buf = read(8 * int(np.prod(shape)), f"parameter {meta['name']}")
             arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise ValueError(f"checkpoint {path} has bytes after its last parameter")
     vocab = Vocabulary(header["vocab"]["words"], header["vocab"]["numerals"])
     bank = None
     if header["bank"] is not None:
@@ -217,5 +228,5 @@ def load_checkpoint(path: str) -> Tuple[NumerateLM, RunConfig, dict]:
     config = RunConfig.from_dict(header["config"])
     model = NumerateLM(header["kind"], vocab, header["dim"],
                        seed=header["seed"], bank=bank)
-    model.params.load_arrays(arrays)
+    model.load_arrays(arrays)
     return model, config, header.get("extra", {})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from numlm import heads
 from numlm.corpus import build_vocabulary, tokenize, tokenize_corpus
 from numlm.gmm import GaussianMixtureBank
 
@@ -27,6 +28,20 @@ def tiny_bank():
     means = np.array([7.0, 58.0, 60.5, 40.0])
     variances = np.array([4.0, 9.0, 1.0, 400.0])
     return GaussianMixtureBank(means, variances, np.array([2, 2, 4, 4]))
+
+
+@pytest.fixture
+def prepare_calls(monkeypatch):
+    """Every `ClosedSoftmax.prepare` call made during the test."""
+    calls = []
+    prepare = heads.ClosedSoftmax.prepare
+
+    def counted(self):
+        calls.append(self)
+        prepare(self)
+
+    monkeypatch.setattr(heads.ClosedSoftmax, "prepare", counted)
+    return calls
 
 
 def numeral_token(surface):

@@ -181,6 +181,31 @@ class TestAnalyze:
         assert lines[0] == ",value,seen"
         assert len(lines) == 3
 
+    def test_similarity_skips_combination_unk_numeral(self, pipeline, capsys):
+        tmp_path, corpus, data, run, cfg = pipeline
+        cfg2 = tmp_path / "cfg_comb.txt"
+        run2 = tmp_path / "run_comb"
+        cfg2.write_text(cfg.read_text().replace("model = mog", "model = combination")
+                        .replace(f"out_dir = {run}", f"out_dir = {run2}"))
+        assert main(["train", "--config", str(cfg2)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--checkpoint", str(run2 / "checkpoint.bin"),
+                     "--mode", "similarity", "--tokens", "value,<UNK_NUM>",
+                     "--out", str(run2)]) == 0
+        assert "note: '<UNK_NUM>' has no output embedding, skipped" in \
+            capsys.readouterr().err
+        lines = (run2 / "similarity.csv").read_text().splitlines()
+        assert lines[0] == ",value"
+
+    def test_truncated_checkpoint_exits_cleanly(self, pipeline, capsys):
+        tmp_path, corpus, data, run, cfg = pipeline
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(read(run / "checkpoint.bin")[:12])
+        rc = main(["analyze", "--checkpoint", str(bad), "--mode", "similarity",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_benford_needs_digit_branch(self, pipeline, capsys):
         tmp_path, corpus, data, run, cfg = pipeline
         rc = main(["analyze", "--checkpoint", str(run / "checkpoint.bin"),

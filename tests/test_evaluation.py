@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from numlm import evaluation as ev
-from numlm.corpus import Kind, build_vocabulary, tokenize_corpus
+from numlm.corpus import UNK_NUM, Kind, build_vocabulary, tokenize_corpus
 from numlm.gmm import GaussianMixtureBank
-from numlm.heads import NumerateLM
+from numlm.heads import MODEL_KINDS, NumerateLM
 from numlm.numeral_heads import Candidate
 
 from conftest import numeral_token
@@ -260,6 +260,29 @@ class TestSimilarity:
         assert skipped == ["unseen-token"]
         assert labels == ["60.5"]
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_rows_per_kind(self, kind, tiny_vocab, tiny_bank):
+        model = NumerateLM(kind, tiny_vocab, dim=8, seed=6, bank=tiny_bank)
+        surfaces = tiny_vocab.words + tiny_vocab.numerals + ["unseen"]
+        n_words = tiny_vocab.n_words
+        strategy = model.strategy
+        branch = getattr(strategy, "numeral_branch", None)
+        want = {}
+        for i, s in enumerate(surfaces[:-1]):
+            if not model.hierarchical:
+                want[s] = strategy.E_out.value[i]
+            elif i < n_words:
+                want[s] = strategy.words.E_out.value[i]
+            elif kind.startswith("h-softmax"):
+                want[s] = branch.E_out.value[i - n_words]
+            elif kind == "combination" and s != UNK_NUM:
+                want[s] = branch.closed.E_out.value[branch.closed.rows[s]]
+        kept, rows, skipped = ev.output_embedding_rows(model, surfaces)
+        assert kept == list(want)
+        assert skipped == [s for s in surfaces if s not in want]
+        for s, row in zip(kept, rows):
+            np.testing.assert_array_equal(row, want[s])
+
     def test_digit_report_shape(self, tiny_vocab):
         model = NumerateLM("d-rnn", tiny_vocab, dim=8, seed=7)
         labels, matrix = ev.digit_similarity_report(model)
@@ -322,3 +345,39 @@ class TestEvalReport:
         ev.write_eval_json(report, str(path))
         loaded = json.loads(path.read_text())
         assert loaded["pp"]["all"] == pytest.approx(report["pp"]["all"])
+
+
+class TestOneForward:
+    """One grad-free pass per test document feeds every reader."""
+
+    def test_evaluate_scores_each_document_once(self, tiny_vocab, tiny_corpus,
+                                                tiny_bank, monkeypatch):
+        calls = []
+        score_doc = NumerateLM.score_doc
+
+        def counted(self, doc, *args, **kw):
+            calls.append(len(doc))
+            return score_doc(self, doc, *args, **kw)
+
+        monkeypatch.setattr(NumerateLM, "score_doc", counted)
+        test = tiny_corpus + [[]]
+        for kind in ("h-softmax+rnn", "combination"):
+            model = NumerateLM(kind, tiny_vocab, dim=8, seed=12, bank=tiny_bank)
+            calls.clear()
+            ev.evaluate(model, test, tiny_corpus)
+            assert calls == [len(doc) for doc in tiny_corpus]
+
+    def test_score_corpus_prepares_once(self, tiny_vocab, tiny_corpus,
+                                        prepare_calls):
+        model = NumerateLM("softmax+rnn", tiny_vocab, dim=8, seed=13)
+        ev.score_corpus(model, tiny_corpus)
+        assert len(prepare_calls) == 1
+
+    def test_records_keep_numeral_states(self, tiny_vocab, tiny_corpus):
+        model = NumerateLM("d-rnn", tiny_vocab, dim=8, seed=14)
+        got = [r for r in ev.score_corpus(model, tiny_corpus) if r.state is not None]
+        want = [(doc[t], hv) for doc in tiny_corpus
+                for t, hv in model.score_doc(doc, collect_numeral_states=True)[1]]
+        assert [r.token for r in got] == [tok for tok, _ in want]
+        for r, (_, hv) in zip(got, want):
+            np.testing.assert_array_equal(r.state, hv)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ class TestEmFit:
             fit = em_fit(vals, 2, init_means=[4.5, 1000.0])
         floor = variance_floor(np.asarray(vals))
         assert np.all(fit.variances >= floor - 1e-300)
+
+    def test_one_flooring_warning_per_fit(self):
+        vals = [float(v) for v in range(10)] + [1000.0]
+        with pytest.warns(UserWarning, match="floored") as record:
+            fit = em_fit(vals, 2, init_means=[4.5, 1000.0])
+        assert len(record) == 1
+        iterations = int(re.search(r"on (\d+) EM iteration", str(record[0].message))[1])
+        assert 1 < iterations < len(fit.log_likelihood_trace)
 
 
 class TestBank:

@@ -1,14 +1,19 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from numlm.compute import NonFiniteLoss
+from numlm.compute import Adam, NonFiniteLoss
 from numlm.corpus import build_vocabulary, tokenize_corpus
-from numlm.heads import NumerateLM
+from numlm.gmm import GaussianMixtureBank
+from numlm.heads import MODEL_KINDS, NumerateLM
 from numlm.synth import default_spec, generate_synthetic_corpus
 from numlm.train import (CHECKPOINT_FORMAT_VERSION, RunConfig, VersionMismatch,
-                         load_checkpoint, save_checkpoint, train_model)
+                         dev_cross_entropy, load_checkpoint, save_checkpoint,
+                         train_model)
 
 
 def small_split(n_docs=10):
@@ -173,6 +178,132 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
+
+    def test_end_inside_length_field_rejected(self, tmp_path):
+        model, cfg, path = self.roundtrip(tmp_path, "softmax")
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(ValueError, match="short.bin"):
+            load_checkpoint(str(bad))
+
+    def test_end_inside_parameter_rejected(self, tmp_path):
+        model, cfg, path = self.roundtrip(tmp_path, "softmax")
+        last = list(model.params.names())[-1]
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=f"cut.bin.*{last}"):
+            load_checkpoint(str(bad))
+
+
+def _tiny_checkpoint(kind: str, seed: int, path: str) -> NumerateLM:
+    vocab = build_vocabulary(small_split(3), cap=100)
+    bank = GaussianMixtureBank(np.array([50.0, 52.0]), np.array([1.0, 4.0]),
+                               np.array([2, 2]))
+    model = NumerateLM(kind, vocab, dim=4, seed=seed, bank=bank)
+    save_checkpoint(path, model, RunConfig(model=kind, dim=4, seed=seed))
+    return model
+
+
+class TestCheckpointProperties:
+    """Only an intact checkpoint loads; any other length is a ValueError
+    naming the file."""
+
+    @classmethod
+    def setup_class(cls):
+        cls.dir = tempfile.TemporaryDirectory()
+        path = os.path.join(cls.dir.name, "ck.bin")
+        _tiny_checkpoint("combination", 0, path)
+        with open(path, "rb") as f:
+            cls.raw = f.read()
+
+    @classmethod
+    def teardown_class(cls):
+        cls.dir.cleanup()
+
+    def _load(self, data: bytes):
+        path = os.path.join(self.dir.name, "case.bin")
+        with open(path, "wb") as f:
+            f.write(data)
+        return load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_proper_prefix_rejected(self, data):
+        cut = data.draw(st.integers(0, len(self.raw) - 1))
+        with pytest.raises(ValueError, match="case.bin"):
+            self._load(self.raw[:cut])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes_rejected(self, tail):
+        with pytest.raises(ValueError, match="case.bin"):
+            self._load(self.raw + tail)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(MODEL_KINDS), st.integers(0, 2 ** 32 - 1))
+    def test_intact_roundtrip_exact(self, kind, seed):
+        path = os.path.join(self.dir.name, "rt.bin")
+        model = _tiny_checkpoint(kind, seed, path)
+        loaded, cfg, _ = load_checkpoint(path)
+        assert (loaded.kind, cfg.seed) == (kind, seed)
+        assert loaded.vocab.words == model.vocab.words
+        assert loaded.vocab.numerals == model.vocab.numerals
+        assert loaded.params.names() == model.params.names()
+        for (_, t1), (_, t2) in zip(model.params.items(), loaded.params.items()):
+            assert t1.value.tobytes() == t2.value.tobytes()
+
+
+class TestPreparedColumns:
+    """Grad-free passes build the +rnn character columns once, and no read
+    sees columns built from other parameter values."""
+
+    def test_dev_pass_prepares_once(self, prepare_calls):
+        corpus = small_split(5)
+        model = NumerateLM("softmax+rnn", build_vocabulary(corpus, cap=100), dim=8)
+        dev_cross_entropy(model, corpus)
+        assert len(prepare_calls) == 1
+
+    @staticmethod
+    def early_stopped(kind):
+        corpus = small_split(8)
+        dev = tokenize_corpus(["other words entirely 7 here",
+                               "item 3 has value 53"] * 2)
+        vocab = build_vocabulary(corpus, cap=100)
+        cfg = RunConfig(model=kind, dim=8, max_epochs=30, patience=2,
+                        dropout=0.0, lr=0.05, seed=2)
+        model, history = train_model(cfg, corpus, dev, vocab)
+        dev_ces = [h.dev_ce for h in history]
+        # the best parameters are not the last ones trained
+        assert dev_ces.index(min(dev_ces)) < len(dev_ces) - 1
+        return model, cfg, dev
+
+    @pytest.mark.parametrize("kind", ["softmax+rnn", "h-softmax+rnn"])
+    def test_trained_model_scores_like_its_checkpoint(self, tmp_path, kind):
+        model, cfg, dev = self.early_stopped(kind)
+        save_checkpoint(str(tmp_path / "ck.bin"), model, cfg)
+        loaded, _, _ = load_checkpoint(str(tmp_path / "ck.bin"))
+        for doc in dev:
+            got, _ = model.score_doc(doc)
+            want, _ = loaded.score_doc(doc)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["softmax+rnn", "h-softmax+rnn"])
+    def test_dev_ce_after_a_step_matches_a_fresh_model(self, kind):
+        corpus = small_split(5)
+        vocab = build_vocabulary(corpus, cap=100)
+        model = NumerateLM(kind, vocab, dim=8, seed=3)
+        opt = Adam(model.params, lr=0.05)
+        dev_cross_entropy(model, corpus)
+        model.params.zero_grad()
+        logps = model.doc_log_probs(corpus[0])
+        total = logps[0]
+        for lp in logps[1:]:
+            total = total + lp
+        (-total).backward()
+        opt.step()
+        fresh = NumerateLM(kind, vocab, dim=8, seed=4)
+        fresh.params.load_arrays(model.params.snapshot())
+        assert dev_cross_entropy(model, corpus) == dev_cross_entropy(fresh, corpus)
 
 
 class TestSyntheticCorpus:
