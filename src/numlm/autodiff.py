@@ -29,10 +29,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
@@ -132,12 +128,6 @@ def as_tensor(x: TensorLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _track(*xs: Tensor) -> bool:
-    if not _GRAD_ENABLED:
-        return False
-    return any(x.requires_grad or x._parents for x in xs)
-
-
 def _make(value: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     out = Tensor(value)
     parents = tuple(parents)
@@ -208,10 +198,6 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
         return (g @ bv.T, av.T @ g)
 
     return _make(val, (a, b), backward)
-
-
-def dot(a: TensorLike, b: TensorLike) -> Tensor:
-    return matmul(a, b)
 
 
 def getitem(a: Tensor, idx) -> Tensor:
@@ -294,12 +280,6 @@ def tsum(a: TensorLike) -> Tensor:
         return (np.broadcast_to(g, shape).copy() if shape else np.asarray(g),)
 
     return _make(val, (a,), backward)
-
-
-def mean(a: TensorLike) -> Tensor:
-    a = as_tensor(a)
-    n = a.value.size
-    return mul(tsum(a), 1.0 / n)
 
 
 def stack(parts: list[Tensor]) -> Tensor:

@@ -49,9 +49,6 @@ class ParamStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        return {k: v.value for k, v in self._params.items()}
-
     def load_arrays(self, arrays: Dict[str, np.ndarray]):
         missing = set(self._params) - set(arrays)
         extra = set(arrays) - set(self._params)
@@ -101,15 +98,17 @@ class LstmCell:
     def step_batch(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         """Grad-free batched step on raw arrays, rows are batch items."""
         z = np.concatenate([x, h], axis=1) @ self.W.value.T + self.b.value
-        d = self.dim
-        sig = lambda a: 1.0 / (1.0 + np.exp(-a))
-        i = sig(z[:, :d])
-        f = sig(z[:, d:2 * d])
-        g = np.tanh(z[:, 2 * d:3 * d])
-        o = sig(z[:, 3 * d:])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
+        _, c_new, h_new = self.gates(z, c)
         return h_new, c_new
+
+    def gates(self, z: np.ndarray, c: np.ndarray):
+        """From pre-activations z and the previous cell, rows batch items:
+        the activations [i | f | g | o], the new cell and the new state."""
+        d = self.dim
+        a = 1.0 / (1.0 + np.exp(-z))
+        a[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
+        c_new = a[:, d:2 * d] * c + a[:, :d] * a[:, 2 * d:3 * d]
+        return a, c_new, a[:, 3 * d:] * np.tanh(c_new)
 
 
 def cross_entropy(log_probs) -> float:

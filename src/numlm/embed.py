@@ -4,7 +4,7 @@ token-character input embedding used for numerals.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import log_softmax as np_log_softmax
@@ -70,6 +70,15 @@ def char_indices(surface: str) -> List[int]:
         raise ValueError(f"character {e.args[0]!r} outside the numeral character set") from None
 
 
+class SymbolBatch(NamedTuple):
+    """Symbol sequences as the rows [SOS, s_0, ..., s_(k-1), 0, ...] of one
+    padded matrix, with each sequence's length k. The encoder reads whole
+    rows; the emitting form reads all but the last column and scores the
+    symbols after SOS. Steps past a row's end are never scored or returned."""
+    symbols: np.ndarray
+    lens: np.ndarray
+
+
 class SymbolLstm:
     """LSTM over a small symbol alphabet whose last symbol is the start
     marker SOS, run from a given initial hidden state and a zero cell.
@@ -86,56 +95,99 @@ class SymbolLstm:
         self.sos = n_symbols - 1
         self.emb = EmbeddingTable(params, f"{name}.{table}", n_symbols, dim, rng)
         self.cell = LstmCell(params, f"{name}.lstm", dim, dim, rng)
+        self.emit = emit
         if emit:
             self.Wout = params.create(f"{name}.out.W", uniform_init(rng, (self.sos, dim)))
             self.bout = params.create(f"{name}.out.b", uniform_init(rng, (self.sos,)))
         self.log_mask = log_mask
 
-    def _states(self, h: Tensor, inputs: Sequence[int]):
-        state = (h, Tensor(np.zeros(self.dim)))
-        for sym in inputs:
-            state = self.cell.step(self.emb(sym), state)
-            yield state[0]
-
-    def encode(self, symbols: Sequence[int]) -> Tensor:
-        """Final hidden state after reading SOS then `symbols` from a zero state."""
-        *_, h = self._states(Tensor(np.zeros(self.dim)), [self.sos, *symbols])
-        return h
-
-    def sequence_log_prob(self, h: Tensor, targets: Sequence[int]) -> Tensor:
-        """log p(targets | h), one conditional per symbol; graph mode."""
-        inputs = [self.sos, *targets[:-1]]
-        total = None
-        for hs, prev, tgt in zip(self._states(h, inputs), inputs, targets):
-            logits = (self.Wout @ hs) + self.bout
-            if self.log_mask is not None:
-                logits = logits + Tensor(self.log_mask[prev])
-            lp = ad.log_softmax(logits)[tgt]
-            total = lp if total is None else total + lp
-        return total
-
-    def batch_log_probs(self, hv: np.ndarray, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-        """log p(seq | hv) for every target sequence, grad-free, scored as
-        one padded batch."""
-        n, steps = len(seqs), max(len(s) for s in seqs)
-        targets = np.full((n, steps), -1, dtype=int)
+    def pad(self, seqs: Sequence[Sequence[int]]) -> SymbolBatch:
+        """The batch `run` reads."""
+        lens = np.array([len(s) for s in seqs], dtype=np.intp)
+        symbols = np.zeros((len(seqs), int(lens.max(initial=0)) + 1), dtype=np.intp)
+        symbols[:, 0] = self.sos
         for i, s in enumerate(seqs):
-            targets[i, :len(s)] = s
-        inputs = np.full((n, steps), self.sos, dtype=int)
-        inputs[:, 1:] = targets[:, :-1]
-        inputs[targets < 0] = self.sos  # past a row's end: keeps masked scores finite
-        H = np.repeat(hv[None, :], n, axis=0)
-        C = np.zeros_like(H)
-        out = np.zeros(n)
+            symbols[i, 1:1 + len(s)] = s
+        return SymbolBatch(symbols, lens)
+
+    def run(self, batch: SymbolBatch, h0: Union[None, np.ndarray, Tensor] = None) -> Tensor:
+        """One pass over a padded batch from h0 (zero if None, one [D] state
+        for every row, or [N, D]) and a zero cell, as a single autodiff node
+        with hand-written backpropagation through time. Returns each row's
+        final hidden state [N, D] or, with the emission layer, each row's
+        log-probability of its symbols [N]."""
+        symbols = batch.symbols.T  # step-major, so that each step's rows are contiguous
+        if self.emit:  # past its end a row reads SOS, which keeps masked scores finite
+            active = np.arange(symbols.shape[0] - 1)[:, None] < batch.lens
+            inputs, targets = np.where(active, symbols[:-1], self.sos), symbols[1:]
+        else:
+            inputs = symbols
+        cell, d, (steps, n) = self.cell, self.dim, inputs.shape
+        E, Wx = self.emb.E.value, cell.W.value[:, :d]
+        WhT = np.ascontiguousarray(cell.W.value[:, d:].T)
+        Zx = (E @ Wx.T + cell.b.value)[inputs]  # [L, N, 4D], each symbol projected once
+        hv = h0.value if isinstance(h0, Tensor) else h0
+        Hs = [np.zeros((n, d)) if hv is None else np.broadcast_to(hv, (n, d))]
+        Cs, As = [np.zeros((n, d))], []
         for t in range(steps):
-            H, C = self.cell.step_batch(self.emb.E.value[inputs[:, t]], H, C)
-            logits = H @ self.Wout.value.T + self.bout.value
+            a, c, h = cell.gates(Zx[t] + Hs[-1] @ WhT, Cs[-1])
+            Hs.append(h)
+            Cs.append(c)
+            As.append(a)
+        H = np.stack(Hs)  # [L + 1, N, D], the initial state first
+        if self.emit:
+            Hout = H[1:].reshape(-1, d)
+            logits = self.Wout.value @ Hout.T + self.bout.value[:, None]  # [S, L * N]
             if self.log_mask is not None:
-                logits = logits + self.log_mask[inputs[:, t]]
-            lp = np_log_softmax(logits, axis=1)
-            active = targets[:, t] >= 0
-            out += np.where(active, lp[np.arange(n), np.maximum(targets[:, t], 0)], 0.0)
-        return out
+                logits = logits + self.log_mask[inputs.reshape(-1)].T
+            lp = np_log_softmax(logits, axis=0)
+            picked = lp[targets.reshape(-1), np.arange(steps * n)].reshape(steps, n)
+            value = np.where(active, picked, 0.0).sum(axis=0)
+        else:
+            value = H[batch.lens + 1, np.arange(n)]  # after SOS and every symbol
+        parents = [self.emb.E, cell.W, cell.b] + ([self.Wout, self.bout] if self.emit else [])
+        if isinstance(h0, Tensor):
+            parents.append(h0)
+
+        def backward(g):
+            A, C = np.stack(As), np.stack(Cs)
+            TC = np.tanh(C[1:])
+            I, F, G, O = np.split(A, 4, axis=2)
+            dc_dh = O * (1.0 - TC * TC)
+            dgate = A * (1.0 - A)
+            dgate[..., 2 * d:3 * d] = 1.0 - G * G
+            if self.emit:
+                weight = np.where(active, g, 0.0).reshape(-1)
+                dlogits = (np.eye(self.sos)[:, targets.reshape(-1)] - np.exp(lp)) * weight
+                dH = (dlogits.T @ self.Wout.value).reshape(steps, n, d)
+            else:
+                dH = np.zeros((steps, n, d))
+                dH[batch.lens, np.arange(n)] = g
+            dZ = np.empty((steps, n, 4 * d))
+            dh = dc = np.zeros((n, d))
+            for t in range(steps - 1, -1, -1):  # steps past a row's end get zero
+                dh = dh + dH[t]
+                dct = dc + dh * dc_dh[t]
+                dZ[t] = np.concatenate([dct * G[t], dct * C[t], dct * I[t], dh * TC[t]],
+                                       axis=1) * dgate[t]
+                dh, dc = dZ[t] @ WhT.T, dct * F[t]
+            dZ2 = dZ.reshape(-1, 4 * d)
+            dP = np.zeros((E.shape[0], 4 * d))  # per symbol, through its projection
+            np.add.at(dP, inputs.reshape(-1), dZ2)
+            dW = np.concatenate([dP.T @ E, dZ2.T @ H[:-1].reshape(-1, d)], axis=1)
+            grads = [dP @ Wx, dW, dP.sum(axis=0)]
+            if self.emit:
+                grads += [dlogits @ Hout, dlogits.sum(axis=1)]
+            if isinstance(h0, Tensor):
+                grads.append(ad._unbroadcast(dh, h0.shape))
+            return tuple(grads)
+
+        return ad._make(value, parents, backward)
+
+    def batch_log_probs(self, hv: np.ndarray, batch: SymbolBatch) -> np.ndarray:
+        """log p(row | hv) for every row of a padded batch, grad-free."""
+        with ad.no_grad():
+            return self.run(batch, hv).value
 
 
 class CharEncoder(SymbolLstm):
@@ -146,8 +198,12 @@ class CharEncoder(SymbolLstm):
                  rng: np.random.Generator):
         super().__init__(params, name, "chars", N_CHARS, dim, rng)
 
+    def encode(self, surfaces: Sequence[str]) -> Tensor:
+        """Final hidden states [N, D] of the numerals `surfaces`."""
+        return self.run(self.pad([char_indices(s) + [EOS_INDEX] for s in surfaces]))
+
     def __call__(self, surface: str) -> Tensor:
-        return self.encode(char_indices(surface) + [EOS_INDEX])
+        return self.encode([surface])[0]
 
 
 class GatedInputEmbed:

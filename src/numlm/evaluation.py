@@ -142,10 +142,13 @@ def build_candidate_set(train_values: Sequence[float], vocab: Vocabulary,
 def _candidate_kwargs(model: NumerateLM, candidates: Sequence[Candidate]) -> dict:
     """Per-checkpoint cacheable pieces of candidate scoring."""
     branch = getattr(model.strategy, "numeral_branch", None)
-    mog = branch.mog if isinstance(branch, CombinationHead) else branch
-    if isinstance(mog, MogHead):
-        return {"q_matrix": mog.candidate_q_matrix(candidates)}
-    return {}
+    kw = {}
+    for part in (branch.mog, branch.drnn) if isinstance(branch, CombinationHead) else (branch,):
+        if isinstance(part, MogHead):
+            kw["q_matrix"] = part.candidate_q_matrix(candidates)
+        if isinstance(part, DigitRnn):
+            kw["digit_batch"] = part.candidate_batch(candidates)
+    return kw
 
 
 def decode_number(model: NumerateLM, hv: np.ndarray,

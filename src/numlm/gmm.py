@@ -59,7 +59,8 @@ def em_fit(values: Sequence[float], k: int,
     Stops when the log-likelihood improves by less than TOL or after
     MAX_ITER iterations. Collapsed components are floored in variance, with
     one warning per fit that counts the floorings. Raises ValueError if K
-    exceeds the number of distinct values.
+    exceeds the number of distinct values, or if an iteration lowers the
+    log-likelihood.
     """
     x = np.asarray(values, dtype=np.float64)
     if k < 1:
@@ -84,7 +85,7 @@ def em_fit(values: Sequence[float], k: int,
         log_norm = m[:, 0] + np.log(np.exp(log_p - m).sum(axis=1))
         ll = float(log_norm.sum())
         if trace and ll < trace[-1] - 1e-9:
-            raise AssertionError("EM log-likelihood decreased")
+            raise ValueError(f"K={k}: EM log-likelihood decreased by {trace[-1] - ll:.6g}")
         trace.append(ll)
         if ll - prev_ll < TOL:
             break

@@ -63,27 +63,24 @@ class ClosedSoftmax:
         self.numerals = list(numerals)
         self.first = first
         self.rows = {s: first + i for i, s in enumerate(self.numerals)}
-        self._char_cols: Optional[List[Tensor]] = None
+        self._table: Optional[Tensor] = None
 
     def prepare(self):
-        """Recompute the character-composed columns; they depend on the
-        parameters, not on the state."""
+        """Rebuild the +rnn output table from the current parameters: the
+        character-composed columns [len(numerals), D] are added to the rows
+        from `first` on, every other row to itself."""
         if self.char_out is not None:
-            self._char_cols = [self.char_out(s) for s in self.numerals]
+            lo, hi = self.first, self.first + len(self.numerals)
+            E = self.E_out
+            self._table = E + ad.concat([E[slice(0, lo)], self.char_out.encode(self.numerals),
+                                         E[slice(hi, E.shape[0])]])
 
     def logits(self, h: Tensor) -> Tensor:
-        base = self.E_out @ h
         if self.char_out is None:
-            return base
-        if self._char_cols is None:
+            return self.E_out @ h
+        if self._table is None:
             self.prepare()
-        lo, hi, n = self.first, self.first + len(self.numerals), base.shape[0]
-        pieces = [base[slice(0, lo)]] if lo else []
-        if self._char_cols:
-            pieces.append(ad.stack([col @ h for col in self._char_cols]))
-        if hi < n:
-            pieces.append(base[slice(hi, n)])
-        return base + ad.concat(pieces)
+        return self._table @ h
 
     def log_prob(self, h: Tensor, row: int) -> Tensor:
         return ad.log_softmax(self.logits(h))[row]
@@ -228,7 +225,7 @@ class NumerateLM:
         self.params.load_arrays(arrays)
         for head in (self.strategy, getattr(self.strategy, "numeral_branch", None)):
             if isinstance(head, ClosedSoftmax):
-                head._char_cols = None
+                head._table = None
 
     def token_log_prob(self, h: Tensor, token: Token) -> Tensor:
         return self.strategy.log_prob_token(h, token)

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .compute import ParamStore, uniform_init
 from .corpus import Token
-from .embed import EOS_INDEX, N_CHARS, N_EMIT, SymbolLstm, char_indices
+from .embed import EOS_INDEX, N_CHARS, N_EMIT, SymbolBatch, SymbolLstm, char_indices
 from .gmm import GaussianMixtureBank
 
 
@@ -39,19 +39,22 @@ class DigitRnn(SymbolLstm):
         super().__init__(params, name, "chars", N_CHARS, dim, rng, emit=True)
 
     def log_prob(self, h: Tensor, surface: str) -> Tensor:
-        return self.sequence_log_prob(h, char_indices(surface) + [EOS_INDEX])
+        return self.run(self.pad([char_indices(surface) + [EOS_INDEX]]), h)[0]
 
     def log_prob_token(self, h: Tensor, token: Token) -> Tensor:
         return self.log_prob(h, token.surface)
 
     def first_emission_probs(self, hv: np.ndarray) -> np.ndarray:
         """Distribution over the 12 emission symbols for the first step."""
-        return np.exp(self.batch_log_probs(hv, [[s] for s in range(N_EMIT)]))
+        return np.exp(self.batch_log_probs(hv, self.pad([[s] for s in range(N_EMIT)])))
 
-    def candidate_log_probs(self, hv: np.ndarray,
-                            candidates: Sequence[Candidate]) -> np.ndarray:
-        return self.batch_log_probs(
-            hv, [char_indices(c.surface) + [EOS_INDEX] for c in candidates])
+    def candidate_batch(self, candidates: Sequence[Candidate]) -> SymbolBatch:
+        """The candidates' digit sequences as one padded batch; h-independent."""
+        return self.pad([char_indices(c.surface) + [EOS_INDEX] for c in candidates])
+
+    def candidate_log_probs(self, hv: np.ndarray, candidates: Sequence[Candidate],
+                            digit_batch: Optional[SymbolBatch] = None) -> np.ndarray:
+        return self.batch_log_probs(hv, digit_batch or self.candidate_batch(candidates))
 
 
 # pattern-model inventories
@@ -99,12 +102,12 @@ class PrecisionPatternModel(SymbolLstm):
         return [PATTERN_INT, PATTERN_POINT] + [PATTERN_DIGIT] * r + [PATTERN_EOS]
 
     def log_prob(self, h: Tensor, r: int) -> Tensor:
-        return self.sequence_log_prob(h, self.pattern_targets(r))
+        return self.run(self.pad([self.pattern_targets(r)]), h)[0]
 
     def log_probs_upto(self, hv: np.ndarray, r_max: int) -> np.ndarray:
         """log p(r) for r = 0..r_max, grad-free."""
         return self.batch_log_probs(
-            hv, [self.pattern_targets(r) for r in range(r_max + 1)])
+            hv, self.pad([self.pattern_targets(r) for r in range(r_max + 1)]))
 
 
 def precision_half_width(r: int) -> float:
@@ -217,7 +220,8 @@ class CombinationHead:
 
     def candidate_log_probs(self, hv: np.ndarray,
                             candidates: Sequence[Candidate],
-                            q_matrix: Optional[np.ndarray] = None) -> np.ndarray:
+                            q_matrix: Optional[np.ndarray] = None,
+                            digit_batch: Optional[SymbolBatch] = None) -> np.ndarray:
         la = np_log_softmax(self.A.value @ hv)
         parts = np.full((3, len(candidates)), -np.inf)
         if self.closed.numerals:
@@ -226,7 +230,7 @@ class CombinationHead:
                 row = self.closed.rows.get(c.surface)
                 if row is not None:
                     parts[0, i] = closed_lp[row]
-        parts[1] = self.drnn.candidate_log_probs(hv, candidates)
+        parts[1] = self.drnn.candidate_log_probs(hv, candidates, digit_batch=digit_batch)
         parts[2] = self.mog.candidate_log_probs(hv, candidates, q_matrix=q_matrix)
         stacked = la[:, None] + parts
         m = stacked.max(axis=0)

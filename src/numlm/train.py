@@ -197,8 +197,8 @@ def save_checkpoint(path: str, model: NumerateLM, config: RunConfig,
 
 
 def load_checkpoint(path: str) -> Tuple[NumerateLM, RunConfig, dict]:
-    """Raises ValueError naming the file unless the buffers after the header
-    are exactly those its shapes declare."""
+    """Raises ValueError naming the file unless the header has every entry
+    and the buffers after it are exactly those its shapes declare."""
     with open(path, "rb") as f:
         def read(size: int, what: str) -> bytes:
             buf = f.read(size)
@@ -210,6 +210,9 @@ def load_checkpoint(path: str) -> Tuple[NumerateLM, RunConfig, dict]:
             raise ValueError(f"{path} is not a checkpoint file")
         (n,) = struct.unpack("<Q", read(8, "the header length"))
         header = json.loads(read(n, "the header").decode("utf-8"))
+        for key in ("format_version", "params", "vocab", "bank", "config", "kind", "dim", "seed"):
+            if key not in header:
+                raise ValueError(f"checkpoint {path} header has no {key!r} entry")
         if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise VersionMismatch(header["format_version"], CHECKPOINT_FORMAT_VERSION)
         arrays: Dict[str, np.ndarray] = {}

@@ -17,6 +17,34 @@ from numlm.evaluation import TokenRecord, _adjusted_classes, _in_filter
 from numlm.numeral_heads import _check_on_grid
 
 
+def symbol_states(lstm, h: Tensor, inputs: Sequence[int]):
+    """Hidden states of a SymbolLstm reading `inputs` from (h, 0), one
+    graph-mode cell step per symbol."""
+    state = (h, Tensor(np.zeros(lstm.dim)))
+    for sym in inputs:
+        state = lstm.cell.step(lstm.emb(sym), state)
+        yield state[0]
+
+
+def symbol_encode(lstm, h: Tensor, symbols: Sequence[int]) -> Tensor:
+    """Final hidden state after reading SOS then `symbols`; graph mode."""
+    *_, last = symbol_states(lstm, h, [lstm.sos, *symbols])
+    return last
+
+
+def symbol_sequence_log_prob(lstm, h: Tensor, targets: Sequence[int]) -> Tensor:
+    """log p(targets | h), one conditional per symbol; graph mode."""
+    inputs = [lstm.sos, *targets[:-1]]
+    total = None
+    for hs, prev, tgt in zip(symbol_states(lstm, h, inputs), inputs, targets):
+        logits = (lstm.Wout @ hs) + lstm.bout
+        if lstm.log_mask is not None:
+            logits = logits + Tensor(lstm.log_mask[prev])
+        lp = ad.log_softmax(logits)[tgt]
+        total = lp if total is None else total + lp
+    return total
+
+
 def trie_mass(drnn, hv: np.ndarray, depth: int) -> float:
     """Terminated mass over all symbol strings of length <= depth plus
     the continuation mass of unterminated depth-length prefixes.

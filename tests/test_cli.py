@@ -108,6 +108,16 @@ class TestFitGmm:
         for k, trace in traces.items():
             assert np.all(np.diff(trace) >= -1e-9)
 
+    def test_log_likelihood_drop_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        from test_gmm import force_log_likelihood_drop
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.txt").write_text("".join(f"value {v} seen\n" for v in range(40)))
+        force_log_likelihood_drop(monkeypatch)
+        rc = main(["fit-gmm", "--data-dir", str(data), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: K=2: EM log-likelihood decreased" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_eval_writes_report(self, pipeline):
@@ -196,6 +206,23 @@ class TestAnalyze:
             capsys.readouterr().err
         lines = (run2 / "similarity.csv").read_text().splitlines()
         assert lines[0] == ",value"
+
+    def test_missing_header_key_exits_cleanly(self, pipeline, capsys):
+        tmp_path, corpus, data, run, cfg = pipeline
+        raw = read(run / "checkpoint.bin")
+        magic_len = len(b"NUMLMCKPT\n")
+        (n,) = struct.unpack("<Q", raw[magic_len:magic_len + 8])
+        header = json.loads(raw[magic_len + 8:magic_len + 8 + n])
+        del header["vocab"]
+        blob = json.dumps(header, sort_keys=True).encode()
+        bad = tmp_path / "nokey.bin"
+        bad.write_bytes(raw[:magic_len] + struct.pack("<Q", len(blob)) + blob
+                        + raw[magic_len + 8 + n:])
+        rc = main(["analyze", "--checkpoint", str(bad), "--mode", "similarity",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "nokey.bin" in err and "'vocab'" in err
 
     def test_truncated_checkpoint_exits_cleanly(self, pipeline, capsys):
         tmp_path, corpus, data, run, cfg = pipeline

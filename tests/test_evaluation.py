@@ -7,7 +7,7 @@ from numlm import evaluation as ev
 from numlm.corpus import UNK_NUM, Kind, build_vocabulary, tokenize_corpus
 from numlm.gmm import GaussianMixtureBank
 from numlm.heads import MODEL_KINDS, NumerateLM
-from numlm.numeral_heads import Candidate
+from numlm.numeral_heads import Candidate, DigitRnn
 
 from conftest import numeral_token
 from oracles import adjusted_perplexity_redistributed
@@ -381,3 +381,22 @@ class TestOneForward:
         assert [r.token for r in got] == [tok for tok, _ in want]
         for r, (_, hv) in zip(got, want):
             np.testing.assert_array_equal(r.state, hv)
+
+    @pytest.mark.parametrize("kind", ["d-rnn", "combination"])
+    def test_decode_pads_candidates_once(self, kind, tiny_vocab, tiny_corpus,
+                                         tiny_bank, monkeypatch):
+        pads = []
+        pad = DigitRnn.pad
+
+        def counted(self, seqs):
+            pads.append(len(seqs))
+            return pad(self, seqs)
+
+        monkeypatch.setattr(DigitRnn, "pad", counted)
+        model = NumerateLM(kind, tiny_vocab, dim=8, seed=15, bank=tiny_bank)
+        records = ev.score_corpus(model, tiny_corpus)
+        cands = ev.build_candidate_set([60.5, 58.0, 7.0], tiny_vocab, 1)
+        pads.clear()
+        decoded = ev.decode_corpus(model, records, cands)
+        assert len(decoded) == 4
+        assert pads == [len(cands)]

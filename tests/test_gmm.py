@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from numlm import gmm
 from numlm.gmm import (BANK_SIZES, GaussianMixtureBank, build_component_bank,
                        em_fit, percentile_init, variance_floor)
 
@@ -70,6 +71,26 @@ class TestEmFit:
         assert len(record) == 1
         iterations = int(re.search(r"on (\d+) EM iteration", str(record[0].message))[1])
         assert 1 < iterations < len(fit.log_likelihood_trace)
+
+    def test_log_likelihood_drop_names_k(self, monkeypatch):
+        force_log_likelihood_drop(monkeypatch)
+        with pytest.raises(ValueError, match=r"K=2: EM log-likelihood decreased by") as exc:
+            em_fit([float(v) for v in range(50)], 2)
+        # one nat per point, less what the first EM step gained
+        assert 40.0 < float(str(exc.value).rsplit(" ", 1)[1]) < 50.0
+
+
+def force_log_likelihood_drop(monkeypatch):
+    """Lower every log density by one nat from EM's second iteration on, so
+    the N-point log-likelihood falls by about N."""
+    calls = []
+    real = gmm._log_pdf_matrix
+
+    def dropping(values, means, variances):
+        calls.append(None)
+        return real(values, means, variances) - (len(calls) > 1)
+
+    monkeypatch.setattr(gmm, "_log_pdf_matrix", dropping)
 
 
 class TestBank:

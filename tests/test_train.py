@@ -194,6 +194,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"cut.bin.*{last}"):
             load_checkpoint(str(bad))
 
+    @pytest.mark.parametrize("key", ["format_version", "params", "vocab", "bank",
+                                     "config", "kind", "dim", "seed"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        import json
+        import struct
+        model, cfg, path = self.roundtrip(tmp_path, "softmax")
+        raw = path.read_bytes()
+        magic_len = len(b"NUMLMCKPT\n")
+        (n,) = struct.unpack("<Q", raw[magic_len:magic_len + 8])
+        header = json.loads(raw[magic_len + 8:magic_len + 8 + n])
+        del header[key]
+        blob = json.dumps(header, sort_keys=True).encode()
+        bad = tmp_path / "nokey.bin"
+        bad.write_bytes(raw[:magic_len] + struct.pack("<Q", len(blob)) + blob
+                        + raw[magic_len + 8 + n:])
+        with pytest.raises(ValueError, match=f"nokey.bin.*'{key}'"):
+            load_checkpoint(str(bad))
+
 
 def _tiny_checkpoint(kind: str, seed: int, path: str) -> NumerateLM:
     vocab = build_vocabulary(small_split(3), cap=100)
